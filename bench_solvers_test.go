@@ -98,6 +98,50 @@ func BenchmarkSolvers(b *testing.B) {
 	})
 }
 
+// growthBenchNames are the policies of the growth curves: the two
+// rescan heuristics, the annealer seeded from them, and the
+// topology-generic table router.
+var growthBenchNames = []string{"XYI", "PR", "SA", "TABLE"}
+
+// growthBenchPoints are the (mesh side, n) points of the growth curves:
+// n ∈ {10, 35, 70, 140} on 8x8, and mesh side ∈ {4, 8, 16} at n = 35
+// (8x8 at n = 35 is shared by both curves).
+var growthBenchPoints = []struct{ side, n int }{
+	{8, 10}, {8, 35}, {8, 70}, {8, 140},
+	{4, 35}, {16, 35},
+}
+
+// BenchmarkSolverGrowth measures how the tracked policies scale with the
+// number of communications and with the platform size: ns/op and
+// allocs/op per (policy, mesh, n) under a reused workspace, on uniform
+// instances drawn like the reference workload's. It is a report, not a
+// guard: no BENCH_*.json baseline or benchguard line reads it.
+func BenchmarkSolverGrowth(b *testing.B) {
+	for _, name := range growthBenchNames {
+		s, err := solve.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pt := range growthBenchPoints {
+			m := mesh.MustNew(pt.side, pt.side)
+			in := solve.Instance{
+				Mesh:  m,
+				Model: power.KimHorowitz(),
+				Comms: workload.New(m, 1).Uniform(pt.n, 100, 1500),
+			}
+			b.Run(fmt.Sprintf("%s/%dx%d/n=%d", name, pt.side, pt.side, pt.n), func(b *testing.B) {
+				opts := solve.Options{Workspace: route.NewWorkspace()}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Route(in, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // maxOptAllocsPerSolve bounds OPT's per-solve allocations under a warmed
 // workspace: the incumbent-seeded branch-and-bound runs entirely on
 // pooled arenas, so a reused serial solve costs only validation, the

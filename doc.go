@@ -22,8 +22,9 @@
 // and route.LoadTracker offers an opt-in link→flow incidence index plus
 // an aggregate observer with running pseudo-power/excess totals, a
 // per-link pseudo-power cache and an exact RecomputeAggregates resync;
-// route.LoadHeap keeps the most-loaded-link order incrementally (lazy
-// stale-entry popping) in exactly the LinksByLoadDesc order. XYI, PR and
+// route.LoadHeap keeps the most-loaded-link order incrementally (an
+// indexed heap, one entry per loaded link) in exactly the
+// LinksByLoadDesc order. XYI, PR and
 // SA run their hot loops on these; the golden figure tests pin the
 // deterministic heuristics' routings bit-for-bit, and cmd/benchguard
 // fails CI when XYI/SA ns/op regresses beyond 2x the committed

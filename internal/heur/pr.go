@@ -46,36 +46,54 @@ type prState struct {
 	multi     bool // true while more than one path remains
 }
 
+// Removability. Every listed link lies on some remaining src→dst path,
+// and every Manhattan path uses exactly one link per diagonal step. So a
+// link at step t can go, keeping a path, exactly when step t lists
+// another link: any path through that other link avoids it. This width
+// test replaces a reachability sweep per probe.
+//
+// Parked links. Whether removeFromHeaviest(id) succeeds depends only on
+// commsByLink[id] and the step widths of those communications' DAGs, and
+// removals only ever shrink both. So a link that failed fails for good:
+// it is parked — kept out of the heap — for the rest of the run, and
+// skipping it yields the same removal sequence as re-probing it after
+// every removal.
+
 // prScratch is the pooled dense state of the PR heuristic: per-comm DAG
 // states, a link-id-indexed comm index replacing the map[int][]int, the
-// leveled coord bitsets of the reachability sweeps, and the removal-order
-// and frontier buffers. One instance lives in each workspace under the
-// "heur.pr" slot.
+// leveled coord bitsets of the pruning sweeps, and the parked-link flags.
+// One instance lives in each workspace under the "heur.pr" slot.
 type prScratch struct {
 	states []prState
 	// lists pools the steps' link-id lists; nextList is the bump pointer.
 	lists    [][]int
 	nextList int
+	// multiLeft counts the communications that still have more than one
+	// path; the removal loop runs until it reaches zero.
+	multiLeft int
 	// commsByLink[id] lists indices into states of communications whose
-	// remaining DAG includes link id (dense over LinkIDSpace).
+	// remaining DAG includes link id (dense over LinkIDSpace), in
+	// (rate desc, ID asc) order — the Section 5.5 tie-walk order.
 	commsByLink [][]int
 	// mark is a generation-stamped link-id set (the "remaining links of
 	// this communication" set of the index rebuild).
 	mark    []int
 	markGen int
-	order   []int
-	// touched/preLoads record the pre-removal DAG of the removing
-	// communication — the superset of links whose load the removal can
-	// change — and their loads, so the caller re-pushes only links whose
-	// load actually moved into the hot-link heap.
-	touched  []int
-	preLoads []float64
+	// order is the (rate desc, ID asc) permutation of the instance that
+	// fills commsByLink.
+	order []int
+	// touched records the pre-removal DAG of the removing communication:
+	// the superset of links whose load or comm index the removal can
+	// change.
+	touched []int
+	// parked[id] marks a link whose removal failed (see Parked links
+	// above).
+	parked []bool
 	// linkFrom/linkTo are the dense coordinate indices of each link id's
-	// endpoints (mesh.CoordIndex), precomputed so the reachability sweeps
-	// skip the LinkByID reconstruction per probe.
+	// endpoints (mesh.CoordIndex), precomputed so the pruning sweeps skip
+	// the LinkByID reconstruction per link.
 	linkFrom, linkTo []int32
-	// fwd and bwd are the per-level reachability bitsets of remove; the
-	// first two fwd entries double as the ping-pong frontier of reachable.
+	// fwd and bwd are the per-level reachability bitsets of remove.
 	fwd, bwd []route.CoordSet
 }
 
@@ -120,81 +138,34 @@ func (h PR) Route(in Instance) (route.Routing, error) {
 func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	m := in.Mesh
 	ps := prepare(in, ws)
-	loads := ws.Tracker()
-	hsc := scratchOf(ws)
 	sc := prScratchOf(ws)
-	sc.nextList = 0
-	if cap(sc.states) < len(in.Comms) {
-		sc.states = make([]prState, len(in.Comms))
-	}
-	sc.states = sc.states[:len(in.Comms)]
-	if len(sc.commsByLink) != m.LinkIDSpace() {
-		sc.commsByLink = make([][]int, m.LinkIDSpace())
-		sc.mark = make([]int, m.LinkIDSpace())
-		sc.markGen = 0
-		sc.linkFrom = make([]int32, m.LinkIDSpace())
-		sc.linkTo = make([]int32, m.LinkIDSpace())
-		for _, l := range m.Links() {
-			id := m.LinkID(l)
-			sc.linkFrom[id] = int32(m.CoordIndex(l.From))
-			sc.linkTo[id] = int32(m.CoordIndex(l.To))
-		}
-	}
-	for id := range sc.commsByLink {
-		sc.commsByLink[id] = sc.commsByLink[id][:0]
-	}
-
-	for i, c := range in.Comms {
-		st := &sc.states[i]
-		st.c, st.static = c, h.StaticShares
-		if cap(st.steps) < c.Length() {
-			st.steps = make([][]int, c.Length())
-		}
-		st.steps = st.steps[:c.Length()]
-		st.initSizes = st.initSizes[:0]
-		for t := 0; t < c.Length(); t++ {
-			hsc.frontier = m.AppendFrontierLinks(hsc.frontier[:0], c.Src, c.Dst, t)
-			step := sc.newList(len(hsc.frontier))
-			for _, l := range hsc.frontier {
-				id := m.LinkID(l)
-				step = append(step, id)
-				sc.commsByLink[id] = append(sc.commsByLink[id], i)
-			}
-			st.steps[t] = step
-			st.initSizes = append(st.initSizes, len(step))
-		}
-		st.refreshMulti()
-		st.addShares(loads, +1)
-	}
+	loads := sc.setup(in, ws, h.StaticShares)
 
 	// Link removal order: always attack the most-loaded link first. The
-	// lazy heap replaces the historical full re-sort per removal — links
-	// that yield no removal are set aside until the next applied removal,
-	// links whose shares moved are re-pushed — and pops in exactly the
-	// LinksByLoadDesc order, so the removal sequence is unchanged.
-	hp := &hsc.heap
+	// indexed heap replaces the historical full re-sort per removal and
+	// pops in exactly the LinksByLoadDesc order; a link that yields no
+	// removal is parked for good, so the removal sequence is the one of
+	// re-probing every link after every removal.
+	hp := &scratchOf(ws).heap
 	hp.Init(loads)
-	for anyMulti(sc.states) {
+	for sc.multiLeft > 0 {
 		id, ok := hp.Pop()
 		if !ok {
-			// Defensive: cannot happen, since any multi-path
-			// communication always has a removable loaded link.
-			break
+			panic("heur: PR ran out of links with multi-path communications left; " +
+				"every link of a step wider than one must stay loaded and unparked")
 		}
 		if !removeFromHeaviest(m, loads, sc, id) {
-			hp.SetAside(id)
+			sc.parked[id] = true
 			continue
 		}
-		for k, lid := range sc.touched {
-			if loads.LoadID(lid) != sc.preLoads[k] {
+		// Only the removing communication's pre-removal links (the popped
+		// one among them) can have changed load: put each unparked one
+		// back in the heap at its current load.
+		for _, lid := range sc.touched {
+			if !sc.parked[lid] {
 				hp.Push(lid)
 			}
 		}
-		// The popped link was removed from the heap: re-push it explicitly
-		// in case its load round-tripped bit-exact through the share
-		// redistribution.
-		hp.Push(id)
-		hp.Reactivate()
 	}
 
 	for i := range sc.states {
@@ -208,21 +179,67 @@ func (h PR) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 	return singlePathRouting(in, ws), nil
 }
 
-// removeFromHeaviest tries to delete link id from the heaviest multi-path
-// communication using it, per the Section 5.5 tie-walk ("unless this
-// removal would break its last remaining path […] we consider removing the
-// second communication, and so on"). It reports whether a removal was
-// applied.
-func removeFromHeaviest(m *mesh.Mesh, loads *route.LoadTracker, sc *prScratch, id int) bool {
-	states := sc.states
-	order := sc.order[:0]
-	for _, i := range sc.commsByLink[id] {
-		if states[i].multi {
-			order = append(order, i)
+// setup builds every communication's full step DAG, pre-routes its
+// virtual shares on the workspace's (reset) tracker, which it returns, and
+// fills the link→comm index in tie-walk order.
+func (sc *prScratch) setup(in Instance, ws *route.Workspace, static bool) *route.LoadTracker {
+	m := in.Mesh
+	loads := ws.Tracker()
+	hsc := scratchOf(ws)
+	sc.nextList = 0
+	if cap(sc.states) < len(in.Comms) {
+		sc.states = make([]prState, len(in.Comms))
+	}
+	sc.states = sc.states[:len(in.Comms)]
+	if len(sc.commsByLink) != m.LinkIDSpace() {
+		sc.commsByLink = make([][]int, m.LinkIDSpace())
+		sc.mark = make([]int, m.LinkIDSpace())
+		sc.markGen = 0
+		sc.parked = make([]bool, m.LinkIDSpace())
+		sc.linkFrom = make([]int32, m.LinkIDSpace())
+		sc.linkTo = make([]int32, m.LinkIDSpace())
+		for _, l := range m.Links() {
+			id := m.LinkID(l)
+			sc.linkFrom[id] = int32(m.CoordIndex(l.From))
+			sc.linkTo[id] = int32(m.CoordIndex(l.To))
 		}
 	}
-	sc.order = order
-	slices.SortFunc(order, func(a, b int) int {
+	clear(sc.parked)
+
+	sc.multiLeft = 0
+	for i, c := range in.Comms {
+		st := &sc.states[i]
+		st.c, st.static = c, static
+		if cap(st.steps) < c.Length() {
+			st.steps = make([][]int, c.Length())
+		}
+		st.steps = st.steps[:c.Length()]
+		st.initSizes = st.initSizes[:0]
+		for t := 0; t < c.Length(); t++ {
+			hsc.frontier = m.AppendFrontierLinks(hsc.frontier[:0], c.Src, c.Dst, t)
+			step := sc.newList(len(hsc.frontier))
+			for _, l := range hsc.frontier {
+				step = append(step, m.LinkID(l))
+			}
+			st.steps[t] = step
+			st.initSizes = append(st.initSizes, len(step))
+		}
+		st.refreshMulti()
+		if st.multi {
+			sc.multiLeft++
+		}
+		st.addShares(loads, +1)
+	}
+
+	// Heaviest first, ties by ID: removals only delete entries, so every
+	// commsByLink list keeps this order and removeFromHeaviest walks it
+	// without sorting.
+	sc.order = sc.order[:0]
+	for i := range sc.states {
+		sc.order = append(sc.order, i)
+	}
+	states := sc.states
+	slices.SortFunc(sc.order, func(a, b int) int {
 		if states[a].c.Rate != states[b].c.Rate {
 			if states[a].c.Rate > states[b].c.Rate {
 				return -1
@@ -231,25 +248,45 @@ func removeFromHeaviest(m *mesh.Mesh, loads *route.LoadTracker, sc *prScratch, i
 		}
 		return states[a].c.ID - states[b].c.ID
 	})
-	for _, i := range order {
-		st := &states[i]
-		if !st.canRemove(m, sc, id) {
+	for id := range sc.commsByLink {
+		sc.commsByLink[id] = sc.commsByLink[id][:0]
+	}
+	for _, i := range sc.order {
+		for _, step := range states[i].steps {
+			for _, id := range step {
+				sc.commsByLink[id] = append(sc.commsByLink[id], i)
+			}
+		}
+	}
+	return loads
+}
+
+// removeFromHeaviest tries to delete link id from the heaviest multi-path
+// communication using it, per the Section 5.5 tie-walk ("unless this
+// removal would break its last remaining path […] we consider removing the
+// second communication, and so on"). It reports whether a removal was
+// applied; on success sc.touched lists the removing communication's
+// pre-removal links.
+func removeFromHeaviest(m *mesh.Mesh, loads *route.LoadTracker, sc *prScratch, id int) bool {
+	from := m.LinkByID(id).From
+	for _, i := range sc.commsByLink[id] {
+		st := &sc.states[i]
+		if !st.canRemove(from) {
 			continue
 		}
 		// Every load change of this removal hits links of the pre-removal
-		// DAG (the post-removal DAG is a subset): record them, with their
-		// loads, for the caller's heap re-push.
+		// DAG (the post-removal DAG is a subset): record them for the
+		// caller's heap re-push.
 		sc.touched = sc.touched[:0]
-		sc.preLoads = sc.preLoads[:0]
 		for _, step := range st.steps {
-			for _, lid := range step {
-				sc.touched = append(sc.touched, lid)
-				sc.preLoads = append(sc.preLoads, loads.LoadID(lid))
-			}
+			sc.touched = append(sc.touched, step...)
 		}
 		st.addShares(loads, -1)
 		st.remove(m, sc, id)
 		st.addShares(loads, +1)
+		if !st.multi {
+			sc.multiLeft--
+		}
 		// Rebuild the link→comm index entries for this communication:
 		// mark the surviving links, then drop i from the pre-removal
 		// links that no longer carry it (a subset of touched).
@@ -303,39 +340,13 @@ func (st *prState) refreshMulti() {
 	}
 }
 
-// canRemove reports whether deleting link id keeps at least one src→dst
-// path in the communication's DAG. Callers reach it through the
-// link→comm incidence index, which lists exactly the communications whose
-// DAG contains the link, so presence needs no re-scan.
-func (st *prState) canRemove(m *mesh.Mesh, sc *prScratch, id int) bool {
-	return st.reachable(m, sc, id)
-}
-
-// reachable runs a forward sweep through the step DAG skipping link id and
-// reports whether the sink is still reached.
-func (st *prState) reachable(m *mesh.Mesh, sc *prScratch, skip int) bool {
-	if len(st.steps) == 0 {
-		return true
-	}
-	sc.fwd = levels(sc.fwd, 2, m)
-	frontier, next := &sc.fwd[0], &sc.fwd[1]
-	frontier.Add(st.c.Src)
-	for _, step := range st.steps {
-		for _, lid := range step {
-			if lid == skip {
-				continue
-			}
-			if frontier.HasIdx(int(sc.linkFrom[lid])) {
-				next.AddIdx(int(sc.linkTo[lid]))
-			}
-		}
-		if next.Len() == 0 {
-			return false
-		}
-		frontier, next = next, frontier
-		next.Reset(m)
-	}
-	return frontier.Has(st.c.Dst)
+// canRemove reports whether deleting the DAG's link leaving from keeps at
+// least one src→dst path: whether the link's step lists another link (see
+// Removability above). Callers reach it through the link→comm incidence
+// index, which lists exactly the communications whose DAG contains the
+// link.
+func (st *prState) canRemove(from mesh.Coord) bool {
+	return len(st.steps[mesh.Manhattan(st.c.Src, from)]) > 1
 }
 
 // remove deletes link id and prunes every link no longer on a src→dst
@@ -383,13 +394,4 @@ func (st *prState) remove(m *mesh.Mesh, sc *prScratch, id int) {
 		st.steps[t] = kept
 	}
 	st.refreshMulti()
-}
-
-func anyMulti(states []prState) bool {
-	for i := range states {
-		if states[i].multi {
-			return true
-		}
-	}
-	return false
 }

@@ -1,11 +1,13 @@
 package heur
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/power"
+	"repro/internal/route"
 )
 
 // PR must reduce every communication to exactly one Manhattan path.
@@ -150,4 +152,52 @@ func TestPRDeterministic(t *testing.T) {
 			t.Fatalf("flow %d differs between runs", i)
 		}
 	}
+}
+
+// On random mid-removal PR states, the width test agrees with the
+// breadth-first reachability probe (refheur_test.go) for every
+// (communication, DAG link) pair, and a link whose removal failed keeps
+// failing — the two facts the hot loop's removability test and parked
+// links rest on. Removals attack random links, not the most-loaded one,
+// so the states reach well beyond PR's own trajectory.
+func TestPRWidthTestMatchesReachability(t *testing.T) {
+	model := power.KimHorowitz()
+	pairs := 0
+	for _, side := range []int{4, 8} {
+		m := mesh.MustNew(side, side)
+		links := m.Links()
+		for seed := int64(0); seed < 8; seed++ {
+			in := Instance{Mesh: m, Model: model, Comms: randomSet(m, 500+seed, 25, 100, 1500)}
+			ws := route.NewWorkspace()
+			prepare(in, ws)
+			sc := prScratchOf(ws)
+			loads := sc.setup(in, ws, false)
+			rng := rand.New(rand.NewSource(seed))
+			failed := make(map[int]bool)
+			for changed := true; sc.multiLeft > 0; {
+				if changed {
+					for i := range sc.states {
+						st := &sc.states[i]
+						for _, step := range st.steps {
+							for _, lid := range step {
+								pairs++
+								want := refReachable(m, st.c, st.steps, lid)
+								if got := st.canRemove(m.LinkByID(lid).From); got != want {
+									t.Fatalf("%dx%d seed %d: comm %d link %v: width test %v, reachability %v",
+										side, side, seed, st.c.ID, m.LinkByID(lid), got, want)
+								}
+							}
+						}
+					}
+				}
+				id := m.LinkID(links[rng.Intn(len(links))])
+				changed = removeFromHeaviest(m, loads, sc, id)
+				if changed && failed[id] {
+					t.Fatalf("%dx%d seed %d: link %v removable after a failed probe", side, side, seed, m.LinkByID(id))
+				}
+				failed[id] = failed[id] || !changed
+			}
+		}
+	}
+	t.Logf("%d (communication, link) pairs checked", pairs)
 }

@@ -25,10 +25,13 @@ import (
 // The hot loop runs on the compiled objective engine: candidate scans
 // visit only the flows crossing the attacked link (the tracker's
 // incidence index), link power probes hit the evaluator's precomputed
-// frequency table, and the most-loaded link comes from a lazy heap
-// instead of a full re-sort after every applied move. Routings are
-// bit-for-bit those of the straightforward scan-all-and-resort
-// formulation (pinned by the golden figure tests).
+// frequency table, and the most-loaded link comes from an indexed heap
+// instead of a full re-sort after every applied move. Candidates are
+// scored excess first: the pseudo-power delta is summed only when the
+// excess delta cannot decide the lexicographic accept rule on its own.
+// Routings are bit-for-bit those of the straightforward
+// scan-all-and-resort formulation (pinned by the golden figure tests and
+// the differential reference test).
 type XYI struct{}
 
 // Name returns "XYI".
@@ -65,6 +68,9 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 		l := in.Mesh.LinkByID(lid)
 		bestPos, bestLo, bestHi := -1, 0, 0
 		var best swapEffect
+		// bestPowered reports whether best.power has been summed; an
+		// incumbent that won on excess alone has not.
+		bestPowered := false
 		// Only flows currently crossing l can be moved off it; the
 		// incidence index lists them in instance order, so the scan is
 		// the full per-communication scan with the misses skipped.
@@ -78,9 +84,32 @@ func (XYI) RouteInto(in Instance, ws *route.Workspace) (route.Routing, error) {
 			// Links outside [lo,hi] are identical in the old and new
 			// paths (their net delta is exactly zero), so the effect of
 			// the full-path swap equals the effect of the span swap.
-			e := swapEffectOf(in.Mesh, ev, loads, p[lo:hi+1], span, c.Rate, sc)
+			sc.swapDeltas(in.Mesh, p[lo:hi+1], span, c.Rate)
+			e := swapEffect{excess: sc.excessOfDeltas(ev, loads)}
+			// Excess decides first: a candidate that adds excess never
+			// improves, and one with more excess than the incumbent
+			// never beats it, whatever its power.
+			if e.excess > gainEps || (bestPos >= 0 && e.excess > best.excess) {
+				sc.clearDeltas()
+				continue
+			}
+			tie := bestPos >= 0 && e.excess == best.excess
+			powered := tie || e.excess >= -gainEps
+			if powered {
+				e.power = sc.powerOfDeltas(ev, loads)
+			}
+			sc.clearDeltas()
+			if tie && !bestPowered {
+				// Loads do not move during the scan, so re-scoring the
+				// incumbent's stored span gives the power it would have
+				// had when it won.
+				bc := in.Comms[bestPos]
+				bp := ps.Get(bc.ID)
+				best.power = swapEffectOf(in.Mesh, ev, loads, bp[bestLo:bestHi+1], sc.best, bc.Rate, sc).power
+				bestPowered = true
+			}
 			if e.improves() && (bestPos < 0 || e.betterThan(best)) {
-				bestPos, bestLo, bestHi, best = int(pos), lo, hi, e
+				bestPos, bestLo, bestHi, best, bestPowered = int(pos), lo, hi, e, powered
 				// Keep the winning span in sc.best; the next moveOff
 				// builds into the other buffer.
 				sc.cand, sc.best = sc.best, sc.cand
@@ -249,18 +278,28 @@ func (e swapEffect) betterThan(o swapEffect) bool {
 }
 
 // swapEffectOf computes the effect of rerouting a flow of the given rate
-// from path old to path new under the current loads, accumulating the
-// per-link deltas in the scratch's dense link-indexed buffer. Deltas are
-// summed in ascending link-id order: float addition is not associative,
-// so an order depending on path direction (or, historically, map
-// iteration) would make near-tie accept decisions nondeterministic and
-// the "deterministic heuristics" guarantee would silently break. (A link
-// appears at most once per Manhattan path, so within one id the sum has
-// at most two terms and commutativity makes the tie order among equal ids
-// irrelevant.)
+// from path old to path new under the current loads.
 func swapEffectOf(m *mesh.Mesh, ev *power.Evaluator, loads *route.LoadTracker,
 	old, new route.Path, rate float64, sc *heurScratch) swapEffect {
 
+	sc.swapDeltas(m, old, new, rate)
+	e := swapEffect{excess: sc.excessOfDeltas(ev, loads), power: sc.powerOfDeltas(ev, loads)}
+	sc.clearDeltas()
+	return e
+}
+
+// swapDeltas accumulates the per-link load deltas of rerouting a flow of
+// the given rate from path old to path new in the scratch's dense
+// link-indexed buffer, listing the written ids in ascending order in
+// sc.touched. The effect sums (excessOfDeltas, powerOfDeltas) walk that
+// order: float addition is not associative, so an order depending on
+// path direction (or, historically, map iteration) would make near-tie
+// accept decisions nondeterministic and the "deterministic heuristics"
+// guarantee would silently break. (A link appears at most once per
+// Manhattan path, so within one id the sum has at most two terms and
+// commutativity makes the tie order among equal ids irrelevant.) Callers
+// release the buffer with clearDeltas.
+func (sc *heurScratch) swapDeltas(m *mesh.Mesh, old, new route.Path, rate float64) {
 	if len(sc.delta) != m.LinkIDSpace() {
 		sc.delta = make([]float64, m.LinkIDSpace())
 	}
@@ -281,30 +320,51 @@ func swapEffectOf(m *mesh.Mesh, ev *power.Evaluator, loads *route.LoadTracker,
 	}
 	sc.touched = touched
 	sortIDs(touched)
+}
+
+// excessOfDeltas sums the change in overload excess of the pending
+// deltas.
+func (sc *heurScratch) excessOfDeltas(ev *power.Evaluator, loads *route.LoadTracker) float64 {
+	excess := 0.0
+	for _, id := range sc.touched {
+		if d := sc.delta[id]; d != 0 {
+			before := loads.LoadID(id)
+			excess += ev.Excess(before+d) - ev.Excess(before)
+		}
+	}
+	return excess
+}
+
+// powerOfDeltas sums the change in pseudo power of the pending deltas.
+func (sc *heurScratch) powerOfDeltas(ev *power.Evaluator, loads *route.LoadTracker) float64 {
 	cached := loads.Observing()
-	var e swapEffect
-	for _, id := range touched {
+	sum := 0.0
+	for _, id := range sc.touched {
 		d := sc.delta[id]
-		sc.delta[id] = 0
 		if d == 0 {
 			continue
 		}
 		before := loads.LoadID(id)
-		after := before + d
 		bp := 0.0
 		if cached {
 			bp = loads.PseudoID(id)
 		} else {
 			bp = ev.Pseudo(before)
 		}
-		e.power += ev.Pseudo(after) - bp
-		e.excess += ev.Excess(after) - ev.Excess(before)
+		sum += ev.Pseudo(before+d) - bp
 	}
-	return e
+	return sum
+}
+
+// clearDeltas restores the delta buffer to all zeros.
+func (sc *heurScratch) clearDeltas() {
+	for _, id := range sc.touched {
+		sc.delta[id] = 0
+	}
 }
 
 // sortIDs is an insertion sort for the tiny touched-id lists of
-// swapEffectOf (a handful of entries): ascending, cheaper than the
+// swapDeltas (a handful of entries): ascending, cheaper than the
 // general-purpose sort's pivot machinery at this size.
 func sortIDs(a []int) {
 	for i := 1; i < len(a); i++ {

@@ -41,10 +41,10 @@ func TestLoadHeapMatchesSortedScan(t *testing.T) {
 	}
 }
 
-// Interleaved mutations with lazy pushes keep the pop order equal to a
-// fresh full sort: after every batch of load changes (with Push per
-// changed link) plus Reactivate, the drained heap equals LinksByLoadDesc.
-func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
+// Interleaved mutations with pushes keep the pop order equal to a fresh
+// full sort: after every batch of load changes (with Push per changed
+// link) plus Reactivate, the drained heap equals LinksByLoadDesc.
+func TestLoadHeapUpdatesMatchResort(t *testing.T) {
 	m := mesh.MustNew(5, 5)
 	rng := rand.New(rand.NewSource(7))
 	tr := NewLoadTracker(m)
@@ -83,7 +83,7 @@ func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 		// Drain a snapshot copy of the heap; compare to a full resort.
 		snapshot := h
 		snapshot.entries = append([]heapEntry(nil), h.entries...)
-		snapshot.ver = append([]uint32(nil), h.ver...)
+		snapshot.pos = append([]int32(nil), h.pos...)
 		want := tr.LinksByLoadDesc()
 		for i, wl := range want {
 			id, ok := snapshot.Pop()
@@ -96,6 +96,63 @@ func TestLoadHeapLazyUpdatesMatchResort(t *testing.T) {
 		}
 		if _, ok := snapshot.Pop(); ok {
 			t.Fatalf("round %d: heap has live entries beyond the %d loaded links", round, len(want))
+		}
+	}
+}
+
+// The heap holds one entry per loaded link at most, and its position
+// index stays consistent, across random Push/Pop/SetAside/Reactivate
+// sequences that drive loads up, down and to zero.
+func TestLoadHeapSizeBoundedByLoadedLinks(t *testing.T) {
+	m := mesh.MustNew(5, 5)
+	rng := rand.New(rand.NewSource(11))
+	tr := NewLoadTracker(m)
+	links := m.Links()
+	for _, l := range links {
+		if rng.Intn(2) == 0 {
+			tr.Add(l, float64(rng.Intn(1000)+1))
+		}
+	}
+	loaded := func() int {
+		n := 0
+		for _, load := range tr.LoadsView() {
+			if load > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	var h LoadHeap
+	h.Init(tr)
+	for step := 0; step < 5000; step++ {
+		switch rng.Intn(5) {
+		case 0:
+			if id, ok := h.Pop(); ok {
+				h.SetAside(id)
+			}
+		case 1:
+			h.Pop()
+		case 2:
+			h.Reactivate()
+		default:
+			id := m.LinkID(links[rng.Intn(len(links))])
+			switch rng.Intn(3) {
+			case 0:
+				tr.AddID(id, float64(rng.Intn(800)+1))
+			case 1:
+				tr.AddID(id, -tr.LoadID(id))
+			case 2:
+				tr.AddID(id, -tr.LoadID(id)/2)
+			}
+			h.Push(id)
+		}
+		if n, want := len(h.entries), loaded(); n > want {
+			t.Fatalf("step %d: %d heap entries for %d loaded links", step, n, want)
+		}
+		for i, e := range h.entries {
+			if int(h.pos[e.id]) != i {
+				t.Fatalf("step %d: pos[%d] = %d, entry sits at %d", step, e.id, h.pos[e.id], i)
+			}
 		}
 	}
 }
