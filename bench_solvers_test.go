@@ -240,7 +240,7 @@ func nocEnergyBenchConfig() noc.Config {
 
 // maxNoCSimEnergyAllocs bounds a warmed pooled run with per-component
 // energy accounting. The engine's own budget is maxSimAllocsPerRun = 24
-// (internal/noc/sim_bench_test.go, measured ~10); the energy counters
+// (internal/noc/sim_bench_test.go, measured 8); the energy counters
 // may add at most 2 allocations — in practice exactly 1, the single
 // slab backing the three Energy slices — so 24 + 2 is the ceiling.
 const maxNoCSimEnergyAllocs = 26

@@ -32,11 +32,18 @@
 //
 // The discrete-event NoC simulator (internal/noc) — the dynamic
 // cross-check of the analytic evaluation — runs the same dense-workspace
-// discipline: a value-typed 4-ary event heap, a freelist packet arena and
-// precompiled flat path tables behind noc.Workspace/Simulator.Reset, so
-// multi-trial callers (the trace scenario source, the NoC validation
-// experiment) rebind one pooled simulator per trial and a warmed run
-// allocates only its Stats. Horizon accounting is exact — link
+// discipline: a value-typed 4-ary event heap next to FIFO lanes, a
+// freelist packet arena and precompiled flat path tables behind
+// noc.Workspace/Simulator.Reset. Each link frequency's transmission
+// completions go on a lane (at most 8 lanes), since equal-size packets
+// make them arrive already sorted; a lane accepts an event only if it
+// sorts at or after the lane's tail, everything else falls back to the
+// heap, and pop takes the minimum of the heap top and the lane heads —
+// the pop order is unchanged and the heap shrinks to the injections.
+// Per-communication delivery figures accumulate in dense slots folded
+// into Stats.PerComm once per run. Multi-trial callers (the trace
+// scenario source, the NoC validation experiment) rebind one pooled
+// simulator per trial and a warmed run allocates only its Stats. Horizon accounting is exact — link
 // utilization is clamped to the window and Injected = Delivered +
 // Stalled + InFlight — and a differential suite pins the engine
 // byte-identical to the historical container/heap implementation it

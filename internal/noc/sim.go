@@ -125,38 +125,6 @@ func (a *packetArena) release(h int32) { a.free = append(a.free, h) }
 
 func (a *packetArena) at(h int32) *packet { return &a.packets[h] }
 
-// pktQueue is a FIFO of packet handles with an amortized-O(1) pop that
-// recycles its backing array instead of re-slicing it away.
-type pktQueue struct {
-	buf  []int32
-	head int
-}
-
-func (q *pktQueue) reset() {
-	q.buf = q.buf[:0]
-	q.head = 0
-}
-
-func (q *pktQueue) len() int { return len(q.buf) - q.head }
-
-func (q *pktQueue) push(h int32) { q.buf = append(q.buf, h) }
-
-func (q *pktQueue) front() int32 { return q.buf[q.head] }
-
-func (q *pktQueue) popFront() int32 {
-	h := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	} else if q.head >= 32 && q.head*2 >= len(q.buf) {
-		// Compact so a queue that never fully drains cannot grow without
-		// bound.
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	return h
-}
-
 // numClasses is the number of virtual channels per physical link: class 0
 // is the escape channel, class 1 the adaptive one (internal/deadlock).
 // Runs without a class assignment use class 0 only.
@@ -169,7 +137,7 @@ type linkState struct {
 	freq     float64 // assigned DVFS frequency (Mb/s); 0 = unused link
 	busy     bool
 	busyTime float64
-	queues   [numClasses]pktQueue
+	queues   [numClasses]fifo[int32]
 	// reserved counts in-flight packets that have claimed a buffer slot
 	// but not yet arrived (finite-buffer mode).
 	reserved [numClasses]int
@@ -222,7 +190,22 @@ type Simulator struct {
 	// period is each flow's packet inter-injection time (µs).
 	period []float64
 
-	q     eventQueue
+	q eventQueue
+	// linkLane maps each used link id to its completion lane (one per
+	// distinct frequency, freqLanes of them, at most maxLanes) or noLane.
+	// Cut-through head arrivals use a second set of lanes,
+	// freqLanes+linkLane[id].
+	linkLane  []int8
+	freqLanes int
+
+	// Dense per-communication delivery accumulators: flow f delivers
+	// into comms[flowSlot[f]], the communication with ID commIDs[slot].
+	// finalize copies them into Stats.PerComm once per run.
+	flowSlot []int32
+	comms    []CommStats
+	commIDs  []int
+	slotOf   map[int]int32
+
 	arena packetArena
 	// loads is the Reset-time scratch for the routing's analytic loads.
 	loads []float64
@@ -318,7 +301,6 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 			}
 		}
 	}
-	s.q.reset()
 	s.arena.reset()
 
 	// Energy accumulators: grow to the platform and clear.
@@ -353,6 +335,7 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 		s.links[id].freq = f
 		s.linkSrc[id] = int32(tp.CoordIndex(tp.LinkByID(id).From))
 	}
+	s.assignLanes(cfg.Switching)
 
 	// Precompile each flow's path to flat link-id/class tables and its
 	// injection period.
@@ -376,10 +359,69 @@ func (s *Simulator) Reset(r route.Routing, model power.Model, cfg Config) error 
 		}
 	}
 	s.flowOff = append(s.flowOff, off)
+	s.assignCommSlots(r.Flows)
 
 	s.routing, s.model, s.cfg = r, model, cfg
 	s.bound = true
 	return nil
+}
+
+// assignLanes maps every used link to the completion lane of its
+// frequency, in order of first appearance by link id, and sizes the
+// event queue: one lane per frequency, doubled under cut-through for the
+// head arrivals. Frequencies past the first maxLanes get noLane.
+func (s *Simulator) assignLanes(sw Switching) {
+	if cap(s.linkLane) < len(s.links) {
+		s.linkLane = make([]int8, len(s.links))
+	}
+	s.linkLane = s.linkLane[:len(s.links)]
+	var freqs [maxLanes]float64
+	s.freqLanes = 0
+	for id := range s.links {
+		s.linkLane[id] = noLane
+		f := s.links[id].freq
+		if f == 0 {
+			continue
+		}
+		for l := 0; l < s.freqLanes; l++ {
+			if freqs[l] == f {
+				s.linkLane[id] = int8(l)
+				break
+			}
+		}
+		if s.linkLane[id] == noLane && s.freqLanes < maxLanes {
+			freqs[s.freqLanes] = f
+			s.linkLane[id] = int8(s.freqLanes)
+			s.freqLanes++
+		}
+	}
+	if sw == CutThrough {
+		s.q.reset(2 * s.freqLanes)
+	} else {
+		s.q.reset(s.freqLanes)
+	}
+}
+
+// assignCommSlots gives every communication a dense accumulator slot, in
+// order of first appearance among the flows, and sums each one's
+// requested rate over its flows in flow order.
+func (s *Simulator) assignCommSlots(flows []route.Flow) {
+	if s.slotOf == nil {
+		s.slotOf = make(map[int]int32)
+	}
+	clear(s.slotOf)
+	s.flowSlot, s.comms, s.commIDs = s.flowSlot[:0], s.comms[:0], s.commIDs[:0]
+	for _, fl := range flows {
+		slot, ok := s.slotOf[fl.Comm.ID]
+		if !ok {
+			slot = int32(len(s.comms))
+			s.slotOf[fl.Comm.ID] = slot
+			s.comms = append(s.comms, CommStats{})
+			s.commIDs = append(s.commIDs, fl.Comm.ID)
+		}
+		s.comms[slot].RequestedRate += fl.Comm.Rate
+		s.flowSlot = append(s.flowSlot, slot)
+	}
 }
 
 // hops returns flow f's path length.
@@ -394,7 +436,12 @@ func (s *Simulator) Run() *Stats {
 		panic("noc: Run needs a fresh New or Reset (one Run per binding)")
 	}
 	s.ran = true
-	st := newStats(s.routing, s.cfg)
+	st := &Stats{
+		Horizon:         s.cfg.Horizon,
+		Warmup:          s.cfg.Warmup,
+		LinkUtilization: make([]float64, len(s.links)),
+		LinkFreq:        make([]float64, len(s.links)),
+	}
 
 	// Stagger flow start phases deterministically across one packet
 	// period so same-rate flows do not inject in lockstep.
@@ -408,7 +455,7 @@ func (s *Simulator) Run() *Stats {
 		if e.time > s.cfg.Horizon {
 			// A popped arrival past the horizon is a packet
 			// mid-transmission, not a silently vanished one.
-			if k := e.kind(); k == evArrive || k == evFreeArrive {
+			if isArrival(e.kind()) {
 				st.InFlight++
 			}
 			break
@@ -457,11 +504,7 @@ func (s *Simulator) Run() *Stats {
 		}
 	}
 	// Everything still scheduled to arrive is in flight at the horizon.
-	for _, e := range s.q.items {
-		if k := e.kind(); k == evArrive || k == evFreeArrive {
-			st.InFlight++
-		}
-	}
+	st.InFlight += s.q.arrivals()
 	s.finalize(st)
 	return st
 }
@@ -482,7 +525,10 @@ func (s *Simulator) arrive(st *Stats, h int32, now float64) {
 		if s.observe != nil {
 			s.observe(Delivery{CommID: fl.Comm.ID, Injected: pkt.injected, Time: now, Bits: pkt.bits})
 		}
-		st.deliver(fl.Comm.ID, pkt.injected, pkt.bits, now)
+		st.Delivered++
+		if pkt.injected >= s.cfg.Warmup {
+			s.comms[s.flowSlot[pkt.flow]].record(pkt.bits, now-pkt.injected)
+		}
 		s.arena.release(h)
 		return
 	}
@@ -596,6 +642,11 @@ func (s *Simulator) startNext(id int32, now float64) {
 	// Advance the packet onto the next hop in place.
 	pkt.hop = hop + 1
 	pkt.prevDone = done
+	// Completions go on the lane of the link's frequency, cut-through
+	// head arrivals on the matching arrival lane; pushLane falls back to
+	// the heap for an event that would break a lane's order (a
+	// tail-bound completion finishing earlier than the lane's tail).
+	lane := int(s.linkLane[id])
 	if s.cfg.Switching == CutThrough {
 		arrival := done
 		if head := now + s.cfg.FlitBits/ls.freq; head < done {
@@ -607,16 +658,19 @@ func (s *Simulator) startNext(id int32, now float64) {
 		if arrival == done {
 			// Tail-bound (or final-hop) pipelines coincide like
 			// store-and-forward: fuse the pair.
-			s.q.push(done, evFreeArrive, h)
+			s.q.pushLane(lane, done, evFreeArrive, h)
 		} else {
-			s.q.push(done, evLinkFree, id)
-			s.q.push(arrival, evArrive, h)
+			s.q.pushLane(lane, done, evLinkFree, id)
+			if lane != noLane {
+				lane += s.freqLanes
+			}
+			s.q.pushLane(lane, arrival, evArrive, h)
 		}
 	} else {
 		// Store-and-forward: tail departure and next-router arrival
 		// coincide, so one fused event carries both (the link id is
 		// recomputed from the packet's advanced hop).
-		s.q.push(done, evFreeArrive, h)
+		s.q.pushLane(lane, done, evFreeArrive, h)
 	}
 }
 
@@ -657,6 +711,10 @@ func appendUnique[T comparable](xs []T, x T) []T {
 // power only while transmitting), so activity accounting costs nothing
 // per event.
 func (s *Simulator) finalize(st *Stats) {
+	st.PerComm = make(map[int]CommStats, len(s.comms))
+	for slot, cs := range s.comms {
+		st.PerComm[s.commIDs[slot]] = cs
+	}
 	cores, space := s.tp.NumCores(), len(s.links)
 	slab := make([]float64, cores+2*space)
 	e := &st.Energy

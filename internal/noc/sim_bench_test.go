@@ -67,9 +67,9 @@ func BenchmarkEngineVsReference(b *testing.B) {
 }
 
 // maxSimAllocsPerRun bounds a warmed pooled run's allocations: the Stats
-// output (struct, per-comm map, two per-link slices, map growth) is the
-// only fresh memory — the engine itself (events, packets, queues) reuses
-// workspace buffers. Measured ~10; 24 leaves headroom for runtime drift
+// output (struct, pre-sized per-comm map, two per-link slices, energy
+// slab) is the only fresh memory — the engine itself (events, packets,
+// queues) reuses workspace buffers. Measured 8; 24 leaves headroom for runtime drift
 // without letting an engine-side allocation regression through.
 const maxSimAllocsPerRun = 24
 

@@ -3,8 +3,6 @@ package noc
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/route"
 )
 
 // CommStats aggregates per-communication delivery statistics.
@@ -93,37 +91,14 @@ type Stats struct {
 	Stalled int
 }
 
-func newStats(r route.Routing, cfg Config) *Stats {
-	space := r.Topology().LinkIDSpace()
-	st := &Stats{
-		Horizon:         cfg.Horizon,
-		Warmup:          cfg.Warmup,
-		PerComm:         make(map[int]CommStats),
-		LinkUtilization: make([]float64, space),
-		LinkFreq:        make([]float64, space),
+// record adds one post-warmup delivery of the given size and latency.
+func (c *CommStats) record(bits, latency float64) {
+	c.DeliveredBits += bits
+	c.Packets++
+	c.TotalLatency += latency
+	if latency > c.MaxLatency {
+		c.MaxLatency = latency
 	}
-	for _, fl := range r.Flows {
-		cs := st.PerComm[fl.Comm.ID]
-		cs.RequestedRate += fl.Comm.Rate
-		st.PerComm[fl.Comm.ID] = cs
-	}
-	return st
-}
-
-func (st *Stats) deliver(commID int, injected, bits, now float64) {
-	st.Delivered++
-	if injected < st.Warmup {
-		return
-	}
-	cs := st.PerComm[commID]
-	cs.DeliveredBits += bits
-	cs.Packets++
-	lat := now - injected
-	cs.TotalLatency += lat
-	if lat > cs.MaxLatency {
-		cs.MaxLatency = lat
-	}
-	st.PerComm[commID] = cs
 }
 
 // DeliveredRate returns the post-warmup goodput of a communication in
